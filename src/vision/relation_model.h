@@ -3,8 +3,10 @@
 
 #include <array>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -13,10 +15,17 @@
 
 namespace svqa::vision {
 
-/// \brief Per-predicate logits for one ordered detection pair. Index 0 is
-/// the implicit background ("no relation") class; index i>0 corresponds
-/// to predicates()[i-1].
-using RelationLogits = std::vector<double>;
+/// \brief Per-predicate logits for one ordered detection pair, for the
+/// unmasked pass and (under TDE) the masked pass. Index 0 is the implicit
+/// background ("no relation") class; index i>0 corresponds to
+/// predicates()[i-1]. One instance is reused across pairs, so scoring
+/// allocates nothing once the rows are sized.
+struct PairLogits {
+  std::vector<double> unmasked;
+  /// Feature maps zeroed (paper Eq. 2): the content term is absent.
+  /// Written only when the masked pass is requested.
+  std::vector<double> masked;
+};
 
 /// \brief Tunable characteristics of a simulated relation predictor.
 struct RelationModelOptions {
@@ -94,30 +103,47 @@ class RelationModel {
   /// of ground-truth scenes.
   void FitBias(const std::vector<Scene>& corpus);
 
-  /// Logits for an ordered pair; `mask_features` zeroes the feature maps
-  /// (paper Eq. 2), removing the content term.
-  RelationLogits ScorePair(const Scene& scene, const Detection& a,
-                           const Detection& b, bool mask_features) const;
+  /// Logits for an ordered pair: the unmasked pass always, and the
+  /// masked pass as well when `with_masked` is set. Both passes are
+  /// scored in one loop from one label-pair prior lookup; each shared
+  /// noise draw is made once and enters both, while each pass keeps its
+  /// own mask-noise stream.
+  void Score(const Scene& scene, const Detection& a, const Detection& b,
+             bool with_masked, PairLogits* out) const;
 
   const std::vector<std::string>& predicates() const { return predicates_; }
   Kind kind() const { return kind_; }
   const RelationModelOptions& options() const { return options_; }
 
  private:
-  double BiasLogit(const std::string& la, const std::string& lb,
-                   std::size_t predicate_index) const;
+  using LabelPair = std::pair<std::string_view, std::string_view>;
+  /// Orders label-pair keys by value so lookups need no string copies.
+  struct LabelPairLess {
+    using is_transparent = void;
+    bool operator()(LabelPair x, LabelPair y) const { return x < y; }
+  };
+
+  /// Rewrites a probability row in place as its scaled log-prior
+  /// (bias) logits.
+  void ToBiasLogits(std::vector<double>* probabilities) const;
 
   Kind kind_;
   std::vector<std::string> predicates_;
   RelationModelOptions options_;
-  /// (subject label, object label) -> per-predicate probability.
-  std::map<std::pair<std::string, std::string>, std::vector<double>> bias_;
-  /// Marginal predicate prior (fallback for unseen label pairs).
+  /// Per predicate: requires box contact (IsContactPredicate).
+  std::vector<bool> contact_;
+  /// (subject label, object label) -> per-predicate bias logit,
+  /// bias_strength * (log p - log(1/N)).
+  std::map<std::pair<std::string, std::string>, std::vector<double>,
+           LabelPairLess>
+      bias_;
+  /// Bias logits of the marginal predicate prior (fallback for unseen
+  /// label pairs).
   std::vector<double> marginal_bias_;
 };
 
-/// \brief Softmax over logits.
-std::vector<double> Softmax(const RelationLogits& logits);
+/// \brief Softmax over `logits`, in place.
+void SoftmaxInPlace(std::span<double> logits);
 
 }  // namespace svqa::vision
 

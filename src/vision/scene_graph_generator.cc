@@ -54,6 +54,7 @@ SceneGraphResult SceneGraphGenerator::Generate(const Scene& scene,
   // Pairwise relation inference over all ordered pairs. Pairs whose
   // boxes are far apart are pruned up front (standard union-box
   // candidate filtering); the model's distance penalty handles the rest.
+  PairLogits scratch;
   for (std::size_t i = 0; i < dets.size(); ++i) {
     for (std::size_t j = 0; j < dets.size(); ++j) {
       if (i == j) continue;
@@ -61,7 +62,7 @@ SceneGraphResult SceneGraphGenerator::Generate(const Scene& scene,
       PredictedRelation rel;
       const bool fired =
           PredictRelation(*model_, scene, dets, static_cast<int>(i),
-                          static_cast<int>(j), mode_, &rel);
+                          static_cast<int>(j), mode_, &scratch, &rel);
       result.candidates.push_back(rel);
       if (fired) {
         result.relations.push_back(rel);

@@ -10,13 +10,13 @@ const char* InferenceModeName(InferenceMode mode) {
 
 bool PredictRelation(const RelationModel& model, const Scene& scene,
                      const std::vector<Detection>& detections, int subject,
-                     int object, InferenceMode mode, PredictedRelation* out) {
-  const Detection& a = detections[subject];
-  const Detection& b = detections[object];
-
-  const RelationLogits logits =
-      model.ScorePair(scene, a, b, /*mask_features=*/false);
-  const std::vector<double> p = Softmax(logits);
+                     int object, InferenceMode mode, PairLogits* scratch,
+                     PredictedRelation* out) {
+  const bool tde = mode == InferenceMode::kTde;
+  model.Score(scene, detections[subject], detections[object],
+              /*with_masked=*/tde, scratch);
+  SoftmaxInPlace(scratch->unmasked);
+  const std::vector<double>& p = scratch->unmasked;
 
   // Existence gate: the unmasked model must prefer some relation over
   // background.
@@ -31,10 +31,9 @@ bool PredictRelation(const RelationModel& model, const Scene& scene,
   }
   double score = p[chosen];
 
-  if (mode == InferenceMode::kTde) {
-    const RelationLogits masked_logits =
-        model.ScorePair(scene, a, b, /*mask_features=*/true);
-    const std::vector<double> p_masked = Softmax(masked_logits);
+  if (tde) {
+    SoftmaxInPlace(scratch->masked);
+    const std::vector<double>& p_masked = scratch->masked;
     // argmax over non-background classes of the total direct effect.
     double best = -2.0;
     for (std::size_t i = 1; i < p.size(); ++i) {

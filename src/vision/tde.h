@@ -32,10 +32,13 @@ struct PredictedRelation {
 /// \brief Applies Original or TDE inference to one pair. `out` is always
 /// filled with the best non-background predicate and its confidence (the
 /// ranked candidate used by Recall@K); the return value says whether the
-/// existence gate fired (the pair becomes a scene-graph edge).
+/// existence gate fired (the pair becomes a scene-graph edge). `scratch`
+/// holds the pair's logits and, afterwards, their softmax; reuse one
+/// across pairs (one per thread).
 bool PredictRelation(const RelationModel& model, const Scene& scene,
                      const std::vector<Detection>& detections, int subject,
-                     int object, InferenceMode mode, PredictedRelation* out);
+                     int object, InferenceMode mode, PairLogits* scratch,
+                     PredictedRelation* out);
 
 }  // namespace svqa::vision
 

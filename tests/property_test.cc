@@ -3,12 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <vector>
+
 #include "core/engine.h"
 #include "core/evaluation.h"
 #include "data/kg_builder.h"
 #include "data/mvqa_generator.h"
 #include "graph/serialization.h"
-#include "graph/traversal.h"
 #include "text/lexicon.h"
 #include "vision/relation_model.h"
 #include "vision/sgg_metrics.h"
@@ -85,14 +87,22 @@ TEST_P(WorldPropertyTest, KnowledgeGraphIsConnectedEnough) {
         kg.vertex(v).category != "person") {
       continue;
     }
+    // Breadth-first walk over out-edges until a concept vertex appears.
     bool reaches_concept = false;
-    graph::BreadthFirst(kg, v, [&](graph::VertexId u, int) {
-      if (kg.vertex(u).category == "concept") {
-        reaches_concept = true;
-        return false;
+    std::vector<bool> seen(kg.num_vertices(), false);
+    std::deque<graph::VertexId> frontier{v};
+    seen[v] = true;
+    while (!frontier.empty() && !reaches_concept) {
+      const graph::VertexId u = frontier.front();
+      frontier.pop_front();
+      reaches_concept = kg.vertex(u).category == "concept";
+      for (const auto& he : kg.OutEdges(u)) {
+        if (!seen[he.neighbor]) {
+          seen[he.neighbor] = true;
+          frontier.push_back(he.neighbor);
+        }
       }
-      return true;
-    });
+    }
     EXPECT_TRUE(reaches_concept) << kg.vertex(v).label;
   }
 }

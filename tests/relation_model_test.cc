@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "data/vocabulary.h"
 #include "data/world.h"
 #include "vision/tde.h"
@@ -62,35 +64,73 @@ class RelationModelTest : public ::testing::Test {
   RelationModel model_;
 };
 
+/// Both passes of one pair, scored into a fresh buffer.
+PairLogits ScoreBoth(const RelationModel& model, const Scene& scene,
+                     const Detection& a, const Detection& b) {
+  PairLogits logits;
+  model.Score(scene, a, b, /*with_masked=*/true, &logits);
+  return logits;
+}
+
+int PredicateIndex(std::string_view predicate) {
+  const auto preds = Predicates();
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    if (preds[i] == predicate) return static_cast<int>(i);
+  }
+  return -1;
+}
+
 TEST_F(RelationModelTest, LogitVectorHasBackgroundSlot) {
   const Scene& scene = scenes_[0];
   const auto dets = PerfectDetections(scene);
-  const auto logits = model_.ScorePair(scene, dets[0], dets[1], false);
-  EXPECT_EQ(logits.size(), Predicates().size() + 1);
+  const auto logits = ScoreBoth(model_, scene, dets[0], dets[1]);
+  EXPECT_EQ(logits.unmasked.size(), Predicates().size() + 1);
+  EXPECT_EQ(logits.masked.size(), Predicates().size() + 1);
+}
+
+TEST_F(RelationModelTest, UnmaskedOnlyLeavesMaskedUntouched) {
+  const Scene& scene = scenes_[0];
+  const auto dets = PerfectDetections(scene);
+  PairLogits logits;
+  model_.Score(scene, dets[0], dets[1], /*with_masked=*/false, &logits);
+  EXPECT_TRUE(logits.masked.empty());
+  EXPECT_EQ(logits.unmasked,
+            ScoreBoth(model_, scene, dets[0], dets[1]).unmasked);
 }
 
 TEST_F(RelationModelTest, Deterministic) {
   const Scene& scene = scenes_[0];
   const auto dets = PerfectDetections(scene);
-  EXPECT_EQ(model_.ScorePair(scene, dets[0], dets[1], false),
-            model_.ScorePair(scene, dets[0], dets[1], false));
+  const auto first = ScoreBoth(model_, scene, dets[0], dets[1]);
+  const auto second = ScoreBoth(model_, scene, dets[0], dets[1]);
+  EXPECT_EQ(first.unmasked, second.unmasked);
+  EXPECT_EQ(first.masked, second.masked);
+}
+
+TEST_F(RelationModelTest, ReusedBufferMatchesFreshOne) {
+  // Scoring into a buffer that already holds another pair's logits gives
+  // exactly the fresh result.
+  const Scene& scene = scenes_[0];
+  const auto dets = PerfectDetections(scene);
+  PairLogits reused;
+  model_.Score(scene, dets[2], dets[3], /*with_masked=*/true, &reused);
+  model_.Score(scene, dets[0], dets[1], /*with_masked=*/true, &reused);
+  const auto fresh = ScoreBoth(model_, scene, dets[0], dets[1]);
+  EXPECT_EQ(reused.unmasked, fresh.unmasked);
+  EXPECT_EQ(reused.masked, fresh.masked);
 }
 
 TEST_F(RelationModelTest, MaskedAndUnmaskedDiffer) {
   const Scene& scene = scenes_[0];
   const auto dets = PerfectDetections(scene);
-  EXPECT_NE(model_.ScorePair(scene, dets[0], dets[1], false),
-            model_.ScorePair(scene, dets[0], dets[1], true));
+  const auto logits = ScoreBoth(model_, scene, dets[0], dets[1]);
+  EXPECT_NE(logits.unmasked, logits.masked);
 }
 
 TEST_F(RelationModelTest, TruePredicateGetsContentBoost) {
   // Averaged over noise (many scene ids), the true predicate's logit
   // difference unmasked-vs-masked equals ~content_strength.
-  const auto preds = Predicates();
-  int wear_index = -1;
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    if (preds[i] == "wear") wear_index = static_cast<int>(i);
-  }
+  const int wear_index = PredicateIndex("wear");
   ASSERT_GE(wear_index, 0);
 
   double diff_sum = 0;
@@ -99,11 +139,44 @@ TEST_F(RelationModelTest, TruePredicateGetsContentBoost) {
     Scene scene = MakeScene();
     scene.id = id;
     const auto dets = PerfectDetections(scene);
-    const auto unmasked = model_.ScorePair(scene, dets[0], dets[1], false);
-    const auto masked = model_.ScorePair(scene, dets[0], dets[1], true);
-    diff_sum += unmasked[wear_index + 1] - masked[wear_index + 1];
+    const auto logits = ScoreBoth(model_, scene, dets[0], dets[1]);
+    diff_sum +=
+        logits.unmasked[wear_index + 1] - logits.masked[wear_index + 1];
   }
   EXPECT_NEAR(diff_sum / n, model_.options().content_strength, 0.25);
+}
+
+TEST_F(RelationModelTest, TdeDifferenceCancelsTheBias) {
+  // Refit on a corpus where every person->hat relation is "near": the
+  // prior now strongly favours "near" over "wear" for that label pair.
+  // The unmasked logits carry that bias; the unmasked-minus-masked
+  // difference of a non-true predicate is only mask noise (mean ~0).
+  std::vector<Scene> corpus;
+  for (int id = 0; id < 50; ++id) {
+    Scene s = MakeScene();
+    s.relations = {SceneRelation{0, 1, "near"}};
+    corpus.push_back(s);
+  }
+  model_.FitBias(corpus);
+  const int near_index = PredicateIndex("near");
+  const int under_index = PredicateIndex("under");
+  ASSERT_GE(near_index, 0);
+  ASSERT_GE(under_index, 0);
+
+  double near_minus_under = 0, near_diff = 0;
+  const int n = 200;
+  for (int id = 0; id < n; ++id) {
+    Scene scene = MakeScene();
+    scene.id = id;
+    const auto dets = PerfectDetections(scene);
+    const auto logits = ScoreBoth(model_, scene, dets[0], dets[1]);
+    near_minus_under += logits.unmasked[near_index + 1] -
+                        logits.unmasked[under_index + 1];
+    near_diff += logits.unmasked[near_index + 1] -
+                 logits.masked[near_index + 1];
+  }
+  EXPECT_GT(near_minus_under / n, 2.0);
+  EXPECT_NEAR(near_diff / n, 0.0, 0.15);
 }
 
 TEST_F(RelationModelTest, ContactPredicatesPenalizedWithoutOverlap) {
@@ -111,16 +184,15 @@ TEST_F(RelationModelTest, ContactPredicatesPenalizedWithoutOverlap) {
   // "wear"-family logits must be heavily penalized vs spatial ones.
   const Scene& scene = scenes_[0];
   const auto dets = PerfectDetections(scene);
+  const int wear_index = PredicateIndex("wear");
+  const int near_index = PredicateIndex("near");
   double wear_sum = 0, near_sum = 0;
-  const auto preds = Predicates();
   for (int id = 0; id < 100; ++id) {
     Scene s = scene;
     s.id = id;
-    const auto logits = model_.ScorePair(s, dets[2], dets[3], false);
-    for (std::size_t i = 0; i < preds.size(); ++i) {
-      if (preds[i] == "wear") wear_sum += logits[i + 1];
-      if (preds[i] == "near") near_sum += logits[i + 1];
-    }
+    const auto logits = ScoreBoth(model_, s, dets[2], dets[3]);
+    wear_sum += logits.unmasked[wear_index + 1];
+    near_sum += logits.unmasked[near_index + 1];
   }
   EXPECT_LT(wear_sum / 100, near_sum / 100 - 2.0);
 }
@@ -148,14 +220,16 @@ TEST_F(RelationModelTest, KindNames) {
 }
 
 TEST(SoftmaxTest, SumsToOneAndOrdersLikeLogits) {
-  const std::vector<double> p = Softmax({1.0, 3.0, 2.0});
+  std::vector<double> p = {1.0, 3.0, 2.0};
+  SoftmaxInPlace(p);
   EXPECT_NEAR(p[0] + p[1] + p[2], 1.0, 1e-12);
   EXPECT_GT(p[1], p[2]);
   EXPECT_GT(p[2], p[0]);
 }
 
 TEST(SoftmaxTest, StableForLargeLogits) {
-  const std::vector<double> p = Softmax({1000.0, 999.0});
+  std::vector<double> p = {1000.0, 999.0};
+  SoftmaxInPlace(p);
   EXPECT_NEAR(p[0] + p[1], 1.0, 1e-12);
   EXPECT_GT(p[0], p[1]);
 }
@@ -214,13 +288,15 @@ TEST_F(TdeTest, TdeRecoversTailPredicateMoreOftenThanOriginal) {
     s.id = 1000 + id;
     s.relations = {SceneRelation{0, 1, "wear"}};
     auto dets = PerfectDetections(s);
+    PairLogits scratch;
     PredictedRelation rel;
-    if (PredictRelation(model_, s, dets, 0, 1, InferenceMode::kTde, &rel)) {
+    if (PredictRelation(model_, s, dets, 0, 1, InferenceMode::kTde, &scratch,
+                        &rel)) {
       ++trials;
       if (rel.predicate == "wear") ++tde_right;
       PredictedRelation orig;
       if (PredictRelation(model_, s, dets, 0, 1, InferenceMode::kOriginal,
-                          &orig) &&
+                          &scratch, &orig) &&
           orig.predicate == "wear") {
         ++orig_right;
       }
@@ -237,9 +313,10 @@ TEST_F(TdeTest, BackgroundPairsMostlyRejected) {
     Scene s = MakeScene();
     s.id = 2000 + id;
     auto dets = PerfectDetections(s);
+    PairLogits scratch;
     PredictedRelation rel;
     if (PredictRelation(model_, s, dets, 2, 1, InferenceMode::kOriginal,
-                        &rel)) {
+                        &scratch, &rel)) {
       ++fired;
     }
   }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/crc32.h"
@@ -52,6 +53,58 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
         static_cast<unsigned char>(damaged[bit / 8]) ^ (1u << (bit % 8)));
     EXPECT_NE(Crc32(damaged), clean) << "bit " << bit;
   }
+}
+
+// Byte-at-a-time reference CRC-32 (bitwise, no tables), independent of
+// the sliced implementation under test.
+uint32_t ReferenceCrc32(std::string_view data, uint32_t seed = 0) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (char ch : data) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::string PseudoRandomBytes(std::size_t n, uint64_t seed) {
+  std::string out(n, '\0');
+  uint64_t x = seed;
+  for (char& ch : out) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    ch = static_cast<char>(x >> 56);
+  }
+  return out;
+}
+
+TEST(Crc32Test, MatchesReferenceForEveryLengthAndOffset) {
+  // Lengths 0-67 at start offsets 0-7 cover every head/tail split around
+  // the 8-byte blocks and every alignment of the block loads.
+  const std::string buffer = PseudoRandomBytes(8 + 67, 1);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      const std::string_view piece(buffer.data() + offset, len);
+      EXPECT_EQ(Crc32(piece), ReferenceCrc32(piece))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedSeedsMatchReference) {
+  const std::string a = PseudoRandomBytes(37, 2);
+  const std::string b = PseudoRandomBytes(53, 3);
+  for (uint32_t seed : {0u, 1u, 0xFFFFFFFFu, 0xDEADBEEFu}) {
+    EXPECT_EQ(Crc32(a, seed), ReferenceCrc32(a, seed)) << seed;
+    EXPECT_EQ(Crc32(b, Crc32(a, seed)),
+              ReferenceCrc32(b, ReferenceCrc32(a, seed)))
+        << seed;
+  }
+}
+
+TEST(Crc32Test, LargeBufferMatchesReference) {
+  const std::string big = PseudoRandomBytes((2u << 20) + 5, 4);
+  EXPECT_EQ(Crc32(big), ReferenceCrc32(big));
 }
 
 // ---------------------------------------------------------------------------
