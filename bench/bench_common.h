@@ -32,6 +32,11 @@ struct JsonRecord {
   double total_micros = 0;   // virtual makespan
   double wall_micros = 0;    // measured host time
   double hit_rate = 0;       // shared-cache hit rate in [0, 1]
+  /// Space-separated metric names whose values depend on the host
+  /// (thread interleaving, timing); bench_check skips them in the
+  /// baseline diff. Empty (and not written) when every virtual metric
+  /// of the record is deterministic.
+  std::string host_metrics;
   std::vector<std::pair<std::string, double>> extras;
 
   JsonRecord& Extra(std::string key, double value) {
@@ -70,6 +75,10 @@ class JsonEmitter {
                    "\"wall_micros\": %.1f, \"hit_rate\": %.4f",
                    r.name.c_str(), r.workers, r.cache_policy.c_str(),
                    r.total_micros, r.wall_micros, r.hit_rate);
+      if (!r.host_metrics.empty()) {
+        std::fprintf(f, ", \"host_metrics\": \"%s\"",
+                     r.host_metrics.c_str());
+      }
       for (const auto& [key, value] : r.extras) {
         std::fprintf(f, ", \"%s\": %.1f", key.c_str(), value);
       }

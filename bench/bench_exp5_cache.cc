@@ -10,6 +10,19 @@
 // The Fig. 10/11 sections run the *paper's* cost model (label index and
 // similarity memos off) so the reproduced percentages stay comparable
 // across PRs; the extra sections measure the indexed/memoized engine.
+// Every section executes on the compiled FrozenGraph snapshot, the only
+// execution path; the cost-model toggles change charged virtual costs,
+// not the read path.
+//
+// Record metric classes: virtual costs, op counts and hit rates are
+// deterministic and diffed against the baseline, except where a record
+// lists them in its `host_metrics` field. The threaded records at more
+// than one worker do so for `total_micros` and `hit_rate`: workers pull
+// queries dynamically and share one cache, so the virtual makespan and
+// hit/miss interleaving depend on host thread timing. Those records are
+// gated as same-run ratios instead (see the CI bench_check step).
+// `bytes_allocated` of the serial records is deterministic on a given
+// toolchain and gated with `bench_check --check-metric`.
 //
 // Flags: --workers N   max worker count for the parallel sections (8)
 //        --json PATH   machine-readable output ("BENCH_exp5.json";
@@ -33,28 +46,16 @@ using namespace svqa;
 
 /// The paper's §V cost model: every matchVertex is charged as a full
 /// merged-graph scan and every maxScore as a full embedding sweep.
-/// Frozen execution is off here and in IndexedModel so the historical
-/// record series keeps measuring the mutable read path.
 exec::ExecutorOptions PaperModel() {
   exec::ExecutorOptions opts;
   opts.matcher.use_label_index = false;
   opts.matcher.memoize_similarity = false;
   opts.memoize_similarity = false;
-  opts.use_frozen_graph = false;
   return opts;
 }
 
-/// The indexed/memoized engine on the mutable graph — the baseline the
-/// frozen section below is judged against.
-exec::ExecutorOptions IndexedModel() {
-  exec::ExecutorOptions opts;
-  opts.use_frozen_graph = false;
-  return opts;
-}
-
-/// The engine this repo ships by default: indexed, memoized, and
-/// executing in id space against the compiled CSR snapshot.
-exec::ExecutorOptions FrozenModel() { return exec::ExecutorOptions{}; }
+/// The engine this repo ships by default: indexed and memoized.
+exec::ExecutorOptions IndexedModel() { return exec::ExecutorOptions{}; }
 
 struct RunConfig {
   int n = 100;
@@ -270,6 +271,7 @@ int main(int argc, char** argv) {
     rec.total_micros = out.result.total_micros;
     rec.wall_micros = out.result.wall_micros;
     rec.hit_rate = out.hit_rate;
+    if (w > 1) rec.host_metrics = "total_micros hit_rate";
     rec.Extra("pace_micros_per_virtual_second", pace);
     json.Add(rec);
   }
@@ -284,7 +286,6 @@ int main(int argc, char** argv) {
   std::printf("%-22s %12s %16s %16s\n", "Config", "Latency(s)",
               "vertex cmps", "embedding sims");
   Rule();
-  RunOutput mutable_baseline;  // index_on + cache: the frozen comparator
   for (const bool cache_on : {false, true}) {
     for (const bool index_on : {false, true}) {
       RunConfig config;
@@ -292,7 +293,6 @@ int main(int argc, char** argv) {
       config.cache.capacity = 100;
       config.executor = index_on ? IndexedModel() : PaperModel();
       const RunOutput out = RunBatch(dataset, merged, embeddings, config);
-      if (cache_on && index_on) mutable_baseline = out;
       const double vertex_ops =
           out.result.ops.OpCount(CostKind::kVertexCompare);
       const double sim_ops =
@@ -323,46 +323,6 @@ int main(int argc, char** argv) {
       "(the inverted label index turns matchVertex scans into bucket "
       "probes; the memo turns\nrepeated maxScore sweeps into one probe "
       "per distinct predicate/constraint)\n");
-
-  // ------------------------------------------------------------------
-  Banner("Frozen snapshot execution: CSR + interning vs mutable (N=100)");
-  std::printf("%-22s %12s %14s %16s\n", "Config", "virtual(s)", "wall(ms)",
-              "bytes allocated");
-  Rule();
-  {
-    RunConfig config;
-    config.cache.capacity = 100;
-    config.executor = FrozenModel();
-    const RunOutput out = RunBatch(dataset, merged, embeddings, config);
-    std::printf("%-22s %12.1f %14.1f %16.0f\n", "mutable (index+cache)",
-                mutable_baseline.result.total_micros / 1e6,
-                mutable_baseline.result.wall_micros / 1e3,
-                mutable_baseline.bytes_allocated);
-    std::printf("%-22s %12.1f %14.1f %16.0f\n", "frozen (index+cache)",
-                out.result.total_micros / 1e6, out.result.wall_micros / 1e3,
-                out.bytes_allocated);
-    std::printf(
-        "(wall %.2fx lower, allocations %.2fx fewer; charged virtual "
-        "time identical by construction —\nsee "
-        "tests/frozen_equivalence_test.cc)\n",
-        mutable_baseline.result.wall_micros / out.result.wall_micros,
-        mutable_baseline.bytes_allocated / out.bytes_allocated);
-    bench::JsonRecord rec;
-    rec.name = "exp5/frozen";
-    rec.workers = 1;
-    rec.cache_policy = exec::CachePolicyName(config.cache.policy);
-    rec.total_micros = out.result.total_micros;
-    rec.wall_micros = out.result.wall_micros;
-    rec.hit_rate = out.hit_rate;
-    rec.Extra("vertex_compare_ops",
-              out.result.ops.OpCount(CostKind::kVertexCompare));
-    rec.Extra("levenshtein_ops",
-              out.result.ops.OpCount(CostKind::kLevenshtein));
-    rec.Extra("embedding_sim_ops",
-              out.result.ops.OpCount(CostKind::kEmbeddingSim));
-    rec.Extra("bytes_allocated", out.bytes_allocated);
-    json.Add(rec);
-  }
 
   return json.Flush() ? 0 : 1;
 }

@@ -282,27 +282,9 @@ BENCHMARK(BM_TraversalFrozen);
 // (what differs is the *charged* virtual cost — see bench_exp5's
 // ablation); the near-miss variant below is where the host actually
 // pays the Levenshtein fallback scan.
-void BM_VertexMatchIndexed(benchmark::State& state) {
-  const auto* fixture = GetMatchFixture();
-  exec::VertexMatcher matcher(&fixture->merged, &fixture->embeddings);
-  nlp::SpocElement el;
-  el.head = "animal";
-  el.text = "animal";
-  const auto allocs = bench::AllocsNow();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.Match(el));
-  }
-  ReportAllocs(state, allocs);
-}
-BENCHMARK(BM_VertexMatchIndexed);
-
-// Same matcher wired to the frozen CSR snapshot: id-space equality and
-// interned near-miss memos instead of string compares.
 void BM_VertexMatchFrozen(benchmark::State& state) {
   const auto* fixture = GetMatchFixture();
-  exec::VertexMatcher matcher(&fixture->merged, &fixture->embeddings,
-                              exec::VertexMatcherOptions{},
-                              fixture->frozen.get());
+  exec::VertexMatcher matcher(*fixture->frozen, &fixture->embeddings);
   nlp::SpocElement el;
   el.head = "animal";
   el.text = "animal";
@@ -319,7 +301,7 @@ void BM_VertexMatchFullScan(benchmark::State& state) {
   exec::VertexMatcherOptions mopts;
   mopts.use_label_index = false;
   mopts.memoize_similarity = false;
-  exec::VertexMatcher matcher(&fixture->merged, &fixture->embeddings, mopts);
+  exec::VertexMatcher matcher(*fixture->frozen, &fixture->embeddings, mopts);
   nlp::SpocElement el;
   el.head = "animal";
   el.text = "animal";
@@ -329,30 +311,13 @@ void BM_VertexMatchFullScan(benchmark::State& state) {
 }
 BENCHMARK(BM_VertexMatchFullScan);
 
-// Near-miss token ("dogg"): the index cannot answer, so even the
-// indexed matcher pays the Levenshtein fallback scan.
-void BM_VertexMatchIndexedNearMiss(benchmark::State& state) {
-  const auto* fixture = GetMatchFixture();
-  exec::VertexMatcher matcher(&fixture->merged, &fixture->embeddings);
-  nlp::SpocElement el;
-  el.head = "dogg";
-  el.text = "dogg";
-  const auto allocs = bench::AllocsNow();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.Match(el));
-  }
-  ReportAllocs(state, allocs);
-}
-BENCHMARK(BM_VertexMatchIndexedNearMiss);
-
-// The frozen matcher memoizes the near-miss scan per canonical key, so
-// steady-state probes skip the Levenshtein sweep entirely (the charged
-// virtual cost is identical — only the host work disappears).
+// Near-miss token ("dogg"): the index cannot answer, so the matcher
+// charges the Levenshtein fallback scan. The scan is memoized per
+// canonical key, so steady-state probes skip the host-side sweep
+// entirely (the charged virtual cost is unchanged).
 void BM_VertexMatchFrozenNearMiss(benchmark::State& state) {
   const auto* fixture = GetMatchFixture();
-  exec::VertexMatcher matcher(&fixture->merged, &fixture->embeddings,
-                              exec::VertexMatcherOptions{},
-                              fixture->frozen.get());
+  exec::VertexMatcher matcher(*fixture->frozen, &fixture->embeddings);
   nlp::SpocElement el;
   el.head = "dogg";
   el.text = "dogg";

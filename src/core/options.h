@@ -34,12 +34,10 @@ struct SvqaOptions {
   bool enable_cache = true;
   exec::KeyCentricCacheOptions cache;
 
-  /// Executor tuning. `executor.use_frozen_graph` (on by default) makes
-  /// every snapshot the engine publishes compile a frozen CSR image of
-  /// its merged graph — interned into the store-wide symbol table — and
-  /// execute queries in id space; answers and charged virtual costs are
-  /// identical either way (see DESIGN.md "Memory layout & snapshot
-  /// compilation").
+  /// Executor tuning. Every snapshot the engine publishes compiles a
+  /// frozen CSR image of its merged graph — interned into the
+  /// store-wide symbol table — and executes queries in id space (see
+  /// DESIGN.md "Memory layout & snapshot compilation").
   exec::ExecutorOptions executor;
 
   /// Resilience: per-query virtual deadline, transient-failure retries,

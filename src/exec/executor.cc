@@ -1,7 +1,6 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <map>
 #include <span>
 #include <sstream>
 #include <string_view>
@@ -42,13 +41,9 @@ QueryGraphExecutor::QueryGraphExecutor(
     const aggregator::MergedGraph* merged,
     const text::EmbeddingModel* embeddings, KeyCentricCache* cache,
     ExecutorOptions options, std::shared_ptr<const graph::FrozenGraph> frozen)
-    : merged_(merged),
-      embeddings_(embeddings),
-      frozen_(options.use_frozen_graph
-                  ? (frozen != nullptr ? std::move(frozen)
-                                       : merged->graph.Freeze())
-                  : nullptr),
-      matcher_(merged, embeddings, options.matcher, frozen_.get()),
+    : embeddings_(embeddings),
+      frozen_(frozen != nullptr ? std::move(frozen) : merged->graph.Freeze()),
+      matcher_(*frozen_, embeddings, options.matcher),
       cache_(cache),
       options_(options) {}
 
@@ -57,7 +52,7 @@ std::string QueryGraphExecutor::PathKey(const nlp::Spoc& spoc) {
          spoc.predicate + "|" + VertexMatcher::ScopeKey(spoc.object);
 }
 
-Result<std::vector<graph::VertexId>> QueryGraphExecutor::ResolveScope(
+Result<ScopeValue> QueryGraphExecutor::ResolveScope(
     const nlp::SpocElement& element, const ExecContext& ctx) const {
   const std::string key = VertexMatcher::ScopeKey(element);
   if (cache_ != nullptr) {
@@ -65,21 +60,9 @@ Result<std::vector<graph::VertexId>> QueryGraphExecutor::ResolveScope(
   }
   SVQA_ASSIGN_OR_RETURN(std::vector<graph::VertexId> scope,
                         matcher_.Match(element, ctx));
-  if (cache_ != nullptr) cache_->PutScope(key, scope, ctx);
-  return scope;
-}
-
-Result<ScopeValue> QueryGraphExecutor::ResolveScopeShared(
-    const nlp::SpocElement& element, const ExecContext& ctx) const {
-  const std::string key = VertexMatcher::ScopeKey(element);
-  if (cache_ != nullptr) {
-    if (auto hit = cache_->GetScopeShared(key, ctx)) return std::move(*hit);
-  }
-  SVQA_ASSIGN_OR_RETURN(std::vector<graph::VertexId> scope,
-                        matcher_.Match(element, ctx));
   auto shared = std::make_shared<const std::vector<graph::VertexId>>(
       std::move(scope));
-  if (cache_ != nullptr) cache_->PutScopeShared(key, shared, ctx);
+  if (cache_ != nullptr) cache_->PutScope(key, shared, ctx);
   return shared;
 }
 
@@ -116,14 +99,14 @@ Result<std::string> QueryGraphExecutor::MatchPredicateLabel(
     obs::CountFault(ctx.obs, FaultSite::kRelationScore);
     return probed;
   }
-  const auto& labels = merged_->graph.EdgeLabels();
+  const auto& labels = frozen_->EdgeLabels();
   if (clock != nullptr) {
     clock->Charge(CostKind::kEmbeddingSim,
                   static_cast<double>(labels.size()));
   }
   SVQA_RETURN_NOT_OK(ctx.Checkpoint("predicate maxScore"));
   // Exact canonical hit first; embedding similarity otherwise. The
-  // resolution is a pure function of the immutable merged graph, so the
+  // resolution is a pure function of the immutable snapshot, so the
   // memoized value is identical no matter which query computed it.
   std::string resolved = predicate;  // no plausible label drops all pairs
   bool found = false;
@@ -185,73 +168,37 @@ Result<PairVec> QueryGraphExecutor::ApplyConstraint(
 
   // Group by subject identity (the constrained entity) and keep the
   // group(s) with the max (min) support — "most frequently" semantics.
-  if (frozen_ != nullptr) {
-    // Id-space grouping: hash 32-bit symbols instead of answer strings.
-    // Symbols and answer texts are bijective, so the groups are the
-    // same; emission sorts group keys by their text to reproduce the
-    // std::map iteration order of the mutable path.
-    std::unordered_map<graph::SymbolId, std::vector<RelationPair>> groups;
-    for (auto& p : pairs) {
-      groups[NormalizeAnswerSymbol(p.subject, /*want_kind=*/false)]
-          .push_back(p);
-    }
-    std::size_t extreme = most ? 0 : pairs.size() + 1;
-    for (const auto& [sym, group] : groups) {
-      if (most) {
-        extreme = std::max(extreme, group.size());
-      } else {
-        extreme = std::min(extreme, group.size());
-      }
-    }
-    std::vector<graph::SymbolId> keys;
-    keys.reserve(groups.size());
-    for (const auto& [sym, group] : groups) keys.push_back(sym);
-    const graph::SymbolTable& symbols = frozen_->symbols();
-    std::sort(keys.begin(), keys.end(),
-              [&symbols](graph::SymbolId a, graph::SymbolId b) {
-                return symbols.NameOf(a) < symbols.NameOf(b);
-              });
-    PairVec out(pairs.get_allocator());
-    for (const graph::SymbolId sym : keys) {
-      const auto& group = groups[sym];
-      if (group.size() == extreme) {
-        out.insert(out.end(), group.begin(), group.end());
-      }
-    }
-    return out;
-  }
-  std::map<std::string, std::vector<RelationPair>> groups;
+  // Groups are keyed by the interned answer symbol and emitted in the
+  // order of their answer text.
+  std::unordered_map<graph::SymbolId, std::vector<RelationPair>> groups;
   for (auto& p : pairs) {
-    groups[NormalizeVertexAnswer(p.subject, /*want_kind=*/false)]
-        .push_back(p);
+    groups[NormalizeAnswerSymbol(p.subject, /*want_kind=*/false)].push_back(
+        p);
   }
   std::size_t extreme = most ? 0 : pairs.size() + 1;
-  for (const auto& [key, group] : groups) {
+  for (const auto& [sym, group] : groups) {
     if (most) {
       extreme = std::max(extreme, group.size());
     } else {
       extreme = std::min(extreme, group.size());
     }
   }
+  std::vector<graph::SymbolId> keys;
+  keys.reserve(groups.size());
+  for (const auto& [sym, group] : groups) keys.push_back(sym);
+  const graph::SymbolTable& symbols = frozen_->symbols();
+  std::sort(keys.begin(), keys.end(),
+            [&symbols](graph::SymbolId a, graph::SymbolId b) {
+              return symbols.NameOf(a) < symbols.NameOf(b);
+            });
   PairVec out(pairs.get_allocator());
-  for (const auto& [key, group] : groups) {
+  for (const graph::SymbolId sym : keys) {
+    const auto& group = groups[sym];
     if (group.size() == extreme) {
       out.insert(out.end(), group.begin(), group.end());
     }
   }
   return out;
-}
-
-std::string QueryGraphExecutor::NormalizeVertexAnswer(graph::VertexId v,
-                                                      bool want_kind) const {
-  const graph::Vertex& vx = merged_->graph.vertex(v);
-  if (want_kind) return vx.category;
-  std::string label = vx.label;
-  if (auto pos = label.find('#'); pos != std::string::npos) {
-    // Anonymous scene object: the category is the informative part.
-    return vx.category;
-  }
-  return label;
 }
 
 graph::SymbolId QueryGraphExecutor::NormalizeAnswerSymbol(
@@ -277,24 +224,13 @@ Answer QueryGraphExecutor::MakeAnswer(
   for (const auto& p : pairs) {
     if (ans.provenance.size() >= Answer::kMaxProvenance) break;
     SupportFact fact;
-    if (frozen_ != nullptr) {
-      fact.subject = std::string(frozen_->label(p.subject));
-      fact.predicate = p.predicate;
-      fact.object = std::string(frozen_->label(p.object));
-      const int32_t subject_image = frozen_->source_image(p.subject);
-      fact.image = subject_image != graph::kKnowledgeGraphSource
-                       ? subject_image
-                       : frozen_->source_image(p.object);
-    } else {
-      const auto& sv = merged_->graph.vertex(p.subject);
-      const auto& ov = merged_->graph.vertex(p.object);
-      fact.subject = sv.label;
-      fact.predicate = p.predicate;
-      fact.object = ov.label;
-      fact.image = sv.source_image != graph::kKnowledgeGraphSource
-                       ? sv.source_image
-                       : ov.source_image;
-    }
+    fact.subject = std::string(frozen_->label(p.subject));
+    fact.predicate = std::string(frozen_->EdgeLabelName(p.label));
+    fact.object = std::string(frozen_->label(p.object));
+    const int32_t subject_image = frozen_->source_image(p.subject);
+    fact.image = subject_image != graph::kKnowledgeGraphSource
+                     ? subject_image
+                     : frozen_->source_image(p.object);
     ans.provenance.push_back(std::move(fact));
   }
 
@@ -310,29 +246,15 @@ Answer QueryGraphExecutor::MakeAnswer(
       // anonymous detection ("wizard#3") of an entity category is an
       // *unresolvable* individual — it may be a re-detection of an
       // already-counted entity in another image — so it is excluded from
-      // identity counts rather than inflating them.
-      if (frozen_ != nullptr) {
-        // Distinct interned symbols — the same cardinality as distinct
-        // normalized strings, without hashing answer text.
-        std::unordered_set<graph::SymbolId> distinct;
-        for (const auto& p : pairs) {
-          const graph::VertexId v = object_var ? p.object : p.subject;
-          if (!var_el.want_kind && frozen_->label_is_anonymous(v)) continue;
-          distinct.insert(NormalizeAnswerSymbol(v, var_el.want_kind));
-        }
-        ans.count = static_cast<int64_t>(distinct.size());
-      } else {
-        std::unordered_set<std::string> distinct;
-        for (const auto& p : pairs) {
-          const graph::VertexId v = object_var ? p.object : p.subject;
-          if (!var_el.want_kind &&
-              merged_->graph.vertex(v).label.find('#') != std::string::npos) {
-            continue;
-          }
-          distinct.insert(NormalizeVertexAnswer(v, var_el.want_kind));
-        }
-        ans.count = static_cast<int64_t>(distinct.size());
+      // identity counts rather than inflating them. Distinct interned
+      // symbols have the cardinality of distinct answer texts.
+      std::unordered_set<graph::SymbolId> distinct;
+      for (const auto& p : pairs) {
+        const graph::VertexId v = object_var ? p.object : p.subject;
+        if (!var_el.want_kind && frozen_->label_is_anonymous(v)) continue;
+        distinct.insert(NormalizeAnswerSymbol(v, var_el.want_kind));
       }
+      ans.count = static_cast<int64_t>(distinct.size());
       ans.text = std::to_string(ans.count);
       break;
     }
@@ -341,43 +263,24 @@ Answer QueryGraphExecutor::MakeAnswer(
       // first (the paper's top-1 selection). The (count desc, text asc)
       // sort fully determines the ranking, so the id-space tally below
       // needs no ordered map.
-      if (frozen_ != nullptr) {
-        std::unordered_map<graph::SymbolId, std::size_t> votes;
-        for (const auto& p : pairs) {
-          const graph::VertexId v =
-              (object_var || !subject_var) ? p.object : p.subject;
-          ++votes[NormalizeAnswerSymbol(v, var_el.want_kind)];
-        }
-        const graph::SymbolTable& symbols = frozen_->symbols();
-        std::vector<std::pair<std::string_view, std::size_t>> ranked;
-        ranked.reserve(votes.size());
-        for (const auto& [sym, n] : votes) {
-          ranked.emplace_back(symbols.NameOf(sym), n);
-        }
-        std::sort(ranked.begin(), ranked.end(),
-                  [](const auto& a, const auto& b) {
-                    if (a.second != b.second) return a.second > b.second;
-                    return a.first < b.first;
-                  });
-        for (const auto& [label, n] : ranked) {
-          ans.entities.emplace_back(label);
-        }
-      } else {
-        std::map<std::string, std::size_t> votes;
-        for (const auto& p : pairs) {
-          const graph::VertexId v =
-              (object_var || !subject_var) ? p.object : p.subject;
-          ++votes[NormalizeVertexAnswer(v, var_el.want_kind)];
-        }
-        std::vector<std::pair<std::string, std::size_t>> ranked(
-            votes.begin(), votes.end());
-        std::sort(ranked.begin(), ranked.end(),
-                  [](const auto& a, const auto& b) {
-                    if (a.second != b.second) return a.second > b.second;
-                    return a.first < b.first;
-                  });
-        for (const auto& [label, n] : ranked) ans.entities.push_back(label);
+      std::unordered_map<graph::SymbolId, std::size_t> votes;
+      for (const auto& p : pairs) {
+        const graph::VertexId v =
+            (object_var || !subject_var) ? p.object : p.subject;
+        ++votes[NormalizeAnswerSymbol(v, var_el.want_kind)];
       }
+      const graph::SymbolTable& symbols = frozen_->symbols();
+      std::vector<std::pair<std::string_view, std::size_t>> ranked;
+      ranked.reserve(votes.size());
+      for (const auto& [sym, n] : votes) {
+        ranked.emplace_back(symbols.NameOf(sym), n);
+      }
+      std::sort(ranked.begin(), ranked.end(),
+                [](const auto& a, const auto& b) {
+                  if (a.second != b.second) return a.second > b.second;
+                  return a.first < b.first;
+                });
+      for (const auto& [label, n] : ranked) ans.entities.emplace_back(label);
       ans.text = ans.entities.empty() ? "unknown" : ans.entities.front();
       break;
     }
@@ -419,101 +322,54 @@ Result<Answer> QueryGraphExecutor::Execute(const query::QueryGraph& gq,
     // bindings are path-cacheable.
     const bool cacheable =
         !subj_binding[u].has_value() && !obj_binding[u].has_value();
-    const bool use_frozen = frozen_ != nullptr;
-    std::vector<RelationPair> rp_owned;
-    PathValue rp_keep;  // keeps a shared cache entry alive while we read
-    const std::vector<RelationPair>* rp = &rp_owned;
-    bool from_cache = false;
+    // A path-cache hit is read in place: `rp` keeps the shared entry
+    // alive while the filters below read it.
+    PathValue rp;
     if (cacheable && cache_ != nullptr) {
-      if (use_frozen) {
-        // Shared hit: read the cached vector in place, no copy-out.
-        if (auto hit = cache_->GetPathShared(PathKey(spoc), ctx)) {
-          rp_keep = std::move(*hit);
-          rp = rp_keep.get();
-          from_cache = true;
-        }
-      } else if (auto hit = cache_->GetPath(PathKey(spoc), ctx)) {
-        rp_owned = std::move(*hit);
-        from_cache = true;
-      }
+      if (auto hit = cache_->GetPath(PathKey(spoc), ctx)) rp = std::move(*hit);
     }
-    if (!from_cache) {
-      // Scopes resolve to spans: bindings are viewed in place, and on
-      // the frozen path cached scopes are shared entries pinned by the
-      // keep-alives below instead of copied out.
+    if (rp == nullptr) {
+      // Scopes resolve to spans: bindings are viewed in place and cached
+      // scopes are shared entries pinned by the keep-alives below.
       ScopeValue subj_keep, obj_keep;
-      std::vector<graph::VertexId> subj_owned, obj_owned;
       std::span<const graph::VertexId> subjects, objects;
       if (subj_binding[u].has_value()) {
         subjects = *subj_binding[u];
-      } else if (use_frozen) {
-        SVQA_ASSIGN_OR_RETURN(subj_keep,
-                              ResolveScopeShared(spoc.subject, ctx));
-        subjects = *subj_keep;
       } else {
-        SVQA_ASSIGN_OR_RETURN(subj_owned, ResolveScope(spoc.subject, ctx));
-        subjects = subj_owned;
+        SVQA_ASSIGN_OR_RETURN(subj_keep, ResolveScope(spoc.subject, ctx));
+        subjects = *subj_keep;
       }
       if (obj_binding[u].has_value()) {
         objects = *obj_binding[u];
-      } else if (use_frozen) {
-        SVQA_ASSIGN_OR_RETURN(obj_keep, ResolveScopeShared(spoc.object, ctx));
-        objects = *obj_keep;
       } else {
-        SVQA_ASSIGN_OR_RETURN(obj_owned, ResolveScope(spoc.object, ctx));
-        objects = obj_owned;
+        SVQA_ASSIGN_OR_RETURN(obj_keep, ResolveScope(spoc.object, ctx));
+        objects = *obj_keep;
       }
       {
         obs::Span rp_span(ctx.obs, clock, "exec.relation_pairs");
-        rp_owned = use_frozen
-                       ? FindRelationPairs(*frozen_, subjects, objects, clock)
-                       : FindRelationPairs(merged_->graph, subjects, objects,
-                                           clock);
+        rp = std::make_shared<const std::vector<RelationPair>>(
+            FindRelationPairs(*frozen_, subjects, objects, clock));
       }
       // The adjacency scan's cost is on the clock; bail before filtering
       // if it blew the budget.
       SVQA_RETURN_NOT_OK(ctx.Checkpoint("relation pairs"));
       if (cacheable && cache_ != nullptr) {
-        if (use_frozen) {
-          rp_keep = std::make_shared<const std::vector<RelationPair>>(
-              std::move(rp_owned));
-          cache_->PutPathShared(PathKey(spoc), rp_keep, ctx);
-          rp = rp_keep.get();
-        } else {
-          cache_->PutPath(PathKey(spoc), rp_owned, ctx);
-        }
+        cache_->PutPath(PathKey(spoc), rp, ctx);
       }
     }
 
     // Predicate filter: keep pairs whose label is the predicate, one of
     // its lexicon synonyms, or (fallback) the embedding-closest label.
     // The filter -> constraint -> bind tail is written once, generically
-    // over the surviving-pair vector type: the frozen path runs it on an
-    // arena-backed vector (the dominant per-query buffer becomes bump
-    // scratch), the mutable path on a heap vector.
-    const auto& lexicon = embeddings_->lexicon();
+    // over the surviving-pair vector type: an arena-backed vector when
+    // the context carries per-query scratch (the dominant per-query
+    // buffer becomes bump scratch), a heap vector otherwise.
     auto process_pairs = [&](auto ap) -> Status {
       ap.reserve(rp->size());
-      if (use_frozen) {
-        // One byte load per pair; pairs without an interned label (legacy
-        // entries seeded into the cache externally) fall back to the
-        // string predicate.
-        const auto verdicts = PredicateVerdicts(spoc.predicate);
-        for (const auto& p : *rp) {
-          const bool keep =
-              p.label < verdicts->size()
-                  ? (*verdicts)[p.label] != 0
-                  : (p.predicate == spoc.predicate ||
-                     lexicon.AreSynonyms(p.predicate, spoc.predicate));
-          if (keep) ap.push_back(p);
-        }
-      } else {
-        for (const auto& p : *rp) {
-          if (p.predicate == spoc.predicate ||
-              lexicon.AreSynonyms(p.predicate, spoc.predicate)) {
-            ap.push_back(p);
-          }
-        }
+      // One byte load per pair.
+      const auto verdicts = PredicateVerdicts(spoc.predicate);
+      for (const auto& p : *rp) {
+        if ((*verdicts)[p.label] != 0) ap.push_back(p);
       }
       // maxScore runs in the paper's algorithm whether or not the synonym
       // short-circuit above already kept pairs; through the memo it
@@ -521,21 +377,12 @@ Result<Answer> QueryGraphExecutor::Execute(const query::QueryGraph& gq,
       SVQA_ASSIGN_OR_RETURN(const std::string label,
                             MatchPredicateLabel(spoc.predicate, ctx));
       if (ap.empty() && !rp->empty()) {
-        if (use_frozen) {
-          // `label` resolves to an edge-label id unless maxScore fell all
-          // the way back to the raw predicate (which then matches no
-          // edge); untagged legacy pairs still compare text.
-          const std::optional<graph::LabelId> lid =
-              frozen_->EdgeLabelIdOf(label);
+        // `label` resolves to an edge-label id unless maxScore fell all
+        // the way back to the raw predicate, which then matches no edge.
+        if (const std::optional<graph::LabelId> lid =
+                frozen_->EdgeLabelIdOf(label)) {
           for (const auto& p : *rp) {
-            const bool keep = p.label != graph::kInvalidLabel
-                                  ? (lid.has_value() && p.label == *lid)
-                                  : p.predicate == label;
-            if (keep) ap.push_back(p);
-          }
-        } else {
-          for (const auto& p : *rp) {
-            if (p.predicate == label) ap.push_back(p);
+            if (p.label == *lid) ap.push_back(p);
           }
         }
       }
@@ -572,7 +419,7 @@ Result<Answer> QueryGraphExecutor::Execute(const query::QueryGraph& gq,
       }
       return Status::OK();
     };
-    if (use_frozen && ctx.arena != nullptr) {
+    if (ctx.arena != nullptr) {
       SVQA_RETURN_NOT_OK(process_pairs(util::ArenaVector<RelationPair>(
           util::ArenaAllocator<RelationPair>(ctx.arena))));
     } else {
@@ -677,18 +524,15 @@ std::optional<Answer> QueryGraphExecutor::ExecuteFromCache(
     const query::QueryGraph& gq, const ExecContext& ctx) const {
   if (cache_ == nullptr || gq.size() == 0) return std::nullopt;
   const nlp::Spoc& spoc = gq.vertices()[0];  // the main clause
-  auto hit = cache_->GetPathShared(PathKey(spoc), ctx);
+  auto hit = cache_->GetPath(PathKey(spoc), ctx);
   if (!hit.has_value()) return std::nullopt;
   // Synonym-only predicate filter: the degraded path must stay cheap
   // and fault-free, so no embedding sweep and no maxScore fallback.
-  const auto& lexicon = embeddings_->lexicon();
+  const auto verdicts = PredicateVerdicts(spoc.predicate);
   std::vector<RelationPair> ap;
   ap.reserve((*hit)->size());
   for (const auto& p : **hit) {
-    if (p.predicate == spoc.predicate ||
-        lexicon.AreSynonyms(p.predicate, spoc.predicate)) {
-      ap.push_back(p);
-    }
+    if ((*verdicts)[p.label] != 0) ap.push_back(p);
   }
   if (ap.empty()) return std::nullopt;
   Answer ans = MakeAnswer(gq, spoc, ap);

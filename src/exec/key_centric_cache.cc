@@ -8,8 +8,8 @@ namespace svqa::exec {
 
 namespace {
 
-// Hit/miss accounting for the ctx-aware entry points: one increment on
-// the pre-registered handle, no lock, no-op without a metrics scope.
+// Hit/miss accounting: one increment on the pre-registered handle, no
+// lock, no-op without a metrics scope.
 void CountLookup(const ExecContext& ctx, bool scope_cache, bool hit) {
   const obs::StackMetrics* m = obs::MetricsOf(ctx.obs);
   if (m == nullptr) return;
@@ -31,149 +31,67 @@ KeyCentricCache::KeyCentricCache(KeyCentricCacheOptions options)
       scope_(options.capacity),
       path_(options.capacity) {}
 
-std::optional<ScopeValue> KeyCentricCache::GetScopeShared(
-    const std::string& key, SimClock* clock) {
-  if (!options_.enable_scope || options_.capacity == 0) return std::nullopt;
-  if (clock != nullptr) clock->Charge(CostKind::kCacheProbe);
-  // Interning on Get too: a miss must reach the policy store so its
-  // hit/miss accounting matches a string-keyed store exactly.
-  const graph::SymbolId id = keys_.Intern(key);
-  return options_.policy == CachePolicy::kLfu ? scope_.lfu.Get(id)
-                                              : scope_.lru.Get(id);
-}
-
-void KeyCentricCache::PutScopeShared(const std::string& key,
-                                     ScopeValue value) {
-  if (!options_.enable_scope || options_.capacity == 0) return;
-  const graph::SymbolId id = keys_.Intern(key);
-  if (options_.policy == CachePolicy::kLfu) {
-    scope_.lfu.Put(id, std::move(value));
-  } else {
-    scope_.lru.Put(id, std::move(value));
-  }
-}
-
-std::optional<PathValue> KeyCentricCache::GetPathShared(const std::string& key,
-                                                        SimClock* clock) {
-  if (!options_.enable_path || options_.capacity == 0) return std::nullopt;
-  if (clock != nullptr) clock->Charge(CostKind::kCacheProbe);
-  const graph::SymbolId id = keys_.Intern(key);
-  return options_.policy == CachePolicy::kLfu ? path_.lfu.Get(id)
-                                              : path_.lru.Get(id);
-}
-
-void KeyCentricCache::PutPathShared(const std::string& key, PathValue value) {
-  if (!options_.enable_path || options_.capacity == 0) return;
-  const graph::SymbolId id = keys_.Intern(key);
-  if (options_.policy == CachePolicy::kLfu) {
-    path_.lfu.Put(id, std::move(value));
-  } else {
-    path_.lru.Put(id, std::move(value));
-  }
-}
-
-std::optional<std::vector<graph::VertexId>> KeyCentricCache::GetScope(
-    const std::string& key, SimClock* clock) {
-  auto hit = GetScopeShared(key, clock);
-  if (!hit.has_value()) return std::nullopt;
-  return **hit;  // copy out: the caller owns a mutable vector
-}
-
-void KeyCentricCache::PutScope(const std::string& key,
-                               std::vector<graph::VertexId> value) {
-  PutScopeShared(
-      key, std::make_shared<const std::vector<graph::VertexId>>(
-               std::move(value)));
-}
-
-std::optional<std::vector<RelationPair>> KeyCentricCache::GetPath(
-    const std::string& key, SimClock* clock) {
-  auto hit = GetPathShared(key, clock);
-  if (!hit.has_value()) return std::nullopt;
-  return **hit;
-}
-
-void KeyCentricCache::PutPath(const std::string& key,
-                              std::vector<RelationPair> value) {
-  PutPathShared(key, std::make_shared<const std::vector<RelationPair>>(
-                         std::move(value)));
-}
-
-std::optional<ScopeValue> KeyCentricCache::GetScopeShared(
-    const std::string& key, const ExecContext& ctx) {
+template <typename V>
+std::optional<V> KeyCentricCache::Get(PolicyPair<V>& store, bool enabled,
+                                      bool scope_store,
+                                      const std::string& key,
+                                      const ExecContext& ctx) {
   if (!ctx.ProbeFault(FaultSite::kCacheOp, key).ok()) {
     // Degrade to a miss: the probe still cost a round-trip, but the
     // caller recomputes and the query survives.
     obs::CountFault(ctx.obs, FaultSite::kCacheOp);
     if (ctx.clock != nullptr) ctx.clock->Charge(CostKind::kCacheProbe);
-    CountLookup(ctx, /*scope_cache=*/true, /*hit=*/false);
+    CountLookup(ctx, scope_store, /*hit=*/false);
     return std::nullopt;
   }
-  auto hit = GetScopeShared(key, ctx.clock);
-  CountLookup(ctx, /*scope_cache=*/true, hit.has_value());
-  return hit;
-}
-
-void KeyCentricCache::PutScopeShared(const std::string& key, ScopeValue value,
-                                     const ExecContext& ctx) {
-  if (!ctx.ProbeFault(FaultSite::kCacheOp, key).ok()) {  // write dropped
-    obs::CountFault(ctx.obs, FaultSite::kCacheOp);
-    return;
-  }
-  PutScopeShared(key, std::move(value));
-}
-
-std::optional<PathValue> KeyCentricCache::GetPathShared(
-    const std::string& key, const ExecContext& ctx) {
-  if (!ctx.ProbeFault(FaultSite::kCacheOp, key).ok()) {
-    obs::CountFault(ctx.obs, FaultSite::kCacheOp);
+  std::optional<V> hit;
+  if (enabled && options_.capacity != 0) {
     if (ctx.clock != nullptr) ctx.clock->Charge(CostKind::kCacheProbe);
-    CountLookup(ctx, /*scope_cache=*/false, /*hit=*/false);
-    return std::nullopt;
+    // Interning on Get too: a miss must reach the policy store so its
+    // hit/miss accounting matches a string-keyed store exactly.
+    const graph::SymbolId id = keys_.Intern(key);
+    hit = options_.policy == CachePolicy::kLfu ? store.lfu.Get(id)
+                                               : store.lru.Get(id);
   }
-  auto hit = GetPathShared(key, ctx.clock);
-  CountLookup(ctx, /*scope_cache=*/false, hit.has_value());
+  CountLookup(ctx, scope_store, hit.has_value());
   return hit;
 }
 
-void KeyCentricCache::PutPathShared(const std::string& key, PathValue value,
-                                    const ExecContext& ctx) {
+template <typename V>
+void KeyCentricCache::Put(PolicyPair<V>& store, bool enabled,
+                          const std::string& key, V value,
+                          const ExecContext& ctx) {
   if (!ctx.ProbeFault(FaultSite::kCacheOp, key).ok()) {  // write dropped
     obs::CountFault(ctx.obs, FaultSite::kCacheOp);
     return;
   }
-  PutPathShared(key, std::move(value));
+  if (!enabled || options_.capacity == 0) return;
+  const graph::SymbolId id = keys_.Intern(key);
+  if (options_.policy == CachePolicy::kLfu) {
+    store.lfu.Put(id, std::move(value));
+  } else {
+    store.lru.Put(id, std::move(value));
+  }
 }
 
-std::optional<std::vector<graph::VertexId>> KeyCentricCache::GetScope(
-    const std::string& key, const ExecContext& ctx) {
-  auto hit = GetScopeShared(key, ctx);
-  if (!hit.has_value()) return std::nullopt;
-  return **hit;
+std::optional<ScopeValue> KeyCentricCache::GetScope(const std::string& key,
+                                                    const ExecContext& ctx) {
+  return Get(scope_, options_.enable_scope, /*scope_store=*/true, key, ctx);
 }
 
-void KeyCentricCache::PutScope(const std::string& key,
-                               std::vector<graph::VertexId> value,
+void KeyCentricCache::PutScope(const std::string& key, ScopeValue value,
                                const ExecContext& ctx) {
-  PutScopeShared(key,
-                 std::make_shared<const std::vector<graph::VertexId>>(
-                     std::move(value)),
-                 ctx);
+  Put(scope_, options_.enable_scope, key, std::move(value), ctx);
 }
 
-std::optional<std::vector<RelationPair>> KeyCentricCache::GetPath(
-    const std::string& key, const ExecContext& ctx) {
-  auto hit = GetPathShared(key, ctx);
-  if (!hit.has_value()) return std::nullopt;
-  return **hit;
+std::optional<PathValue> KeyCentricCache::GetPath(const std::string& key,
+                                                  const ExecContext& ctx) {
+  return Get(path_, options_.enable_path, /*scope_store=*/false, key, ctx);
 }
 
-void KeyCentricCache::PutPath(const std::string& key,
-                              std::vector<RelationPair> value,
+void KeyCentricCache::PutPath(const std::string& key, PathValue value,
                               const ExecContext& ctx) {
-  PutPathShared(key, std::make_shared<const std::vector<RelationPair>>(
-                         std::move(value)),
-                ctx);
+  Put(path_, options_.enable_path, key, std::move(value), ctx);
 }
 
 cache::CacheStats KeyCentricCache::ScopeStats() const {

@@ -34,8 +34,8 @@ struct KeyCentricCacheOptions {
   bool enable_path = true;
 };
 
-/// Shared immutable cache values: readers on the frozen path hold the
-/// entry itself instead of copying vectors out per probe.
+/// Shared immutable cache values: readers hold the entry itself
+/// instead of copying vectors out per probe.
 using ScopeValue = std::shared_ptr<const std::vector<graph::VertexId>>;
 using PathValue = std::shared_ptr<const std::vector<RelationPair>>;
 
@@ -52,61 +52,33 @@ using PathValue = std::shared_ptr<const std::vector<RelationPair>>;
 /// stay keyed by the string (the injector's site/key hashing is part of
 /// the observable model).
 ///
-/// Values are immutable `shared_ptr` vectors: `Get*Shared` hands the
-/// entry out without copying (the frozen read path), while the legacy
-/// `Get*` copy-out overloads remain for callers that mutate.
+/// Values are immutable `shared_ptr` vectors: a hit hands the entry out
+/// without copying, shared with the cache and any concurrent reader.
 ///
 /// Thread-safe by composition: `options_` is immutable after
 /// construction, the interner and each policy store are internally
 /// locked. `Clear` and the `*Stats` snapshots are per-store atomic, not
 /// atomic across the scope and path stores — fine for their diagnostic
-/// role. The `SimClock*` argument is caller-owned per-query state and is
-/// charged outside any cache lock.
+/// role. The context's `SimClock` is caller-owned per-query state and
+/// is charged outside any cache lock.
 class KeyCentricCache {
  public:
   explicit KeyCentricCache(KeyCentricCacheOptions options = {});
 
-  /// Scope lookup; copies the hit out (the caller mutates freely).
-  std::optional<std::vector<graph::VertexId>> GetScope(
-      const std::string& key, SimClock* clock = nullptr);
-  void PutScope(const std::string& key, std::vector<graph::VertexId> value);
-
-  /// Path lookup.
-  std::optional<std::vector<RelationPair>> GetPath(
-      const std::string& key, SimClock* clock = nullptr);
-  void PutPath(const std::string& key, std::vector<RelationPair> value);
-
-  /// Zero-copy lookups: the returned entry is shared with the cache (and
-  /// any concurrent reader) and must be treated as immutable.
-  std::optional<ScopeValue> GetScopeShared(const std::string& key,
-                                           SimClock* clock = nullptr);
-  void PutScopeShared(const std::string& key, ScopeValue value);
-  std::optional<PathValue> GetPathShared(const std::string& key,
-                                         SimClock* clock = nullptr);
-  void PutPathShared(const std::string& key, PathValue value);
-
-  /// Context-aware variants: each op consults the context's fault policy
-  /// at FaultSite::kCacheOp (keyed by the cache key, so a Get and Put of
-  /// the same key in one attempt draw one verdict). An injected fault
-  /// *degrades* rather than fails — a Get becomes a charged miss and a
-  /// Put drops the write — because a flaky cache must slow queries down,
-  /// never take them down.
-  std::optional<std::vector<graph::VertexId>> GetScope(const std::string& key,
-                                                       const ExecContext& ctx);
-  void PutScope(const std::string& key, std::vector<graph::VertexId> value,
-                const ExecContext& ctx);
-  std::optional<std::vector<RelationPair>> GetPath(const std::string& key,
-                                                   const ExecContext& ctx);
-  void PutPath(const std::string& key, std::vector<RelationPair> value,
-               const ExecContext& ctx);
-  std::optional<ScopeValue> GetScopeShared(const std::string& key,
-                                           const ExecContext& ctx);
-  void PutScopeShared(const std::string& key, ScopeValue value,
-                      const ExecContext& ctx);
-  std::optional<PathValue> GetPathShared(const std::string& key,
-                                         const ExecContext& ctx);
-  void PutPathShared(const std::string& key, PathValue value,
-                     const ExecContext& ctx);
+  /// A Get on an enabled store charges one probe to the context's clock.
+  /// Every op consults the context's fault policy at FaultSite::kCacheOp
+  /// (keyed by the cache key, so a Get and Put of the same key in one
+  /// attempt draw one verdict). An injected fault *degrades* rather than
+  /// fails — a Get becomes a charged miss and a Put drops the write —
+  /// because a flaky cache must slow queries down, never take them down.
+  std::optional<ScopeValue> GetScope(const std::string& key,
+                                     const ExecContext& ctx = {});
+  void PutScope(const std::string& key, ScopeValue value,
+                const ExecContext& ctx = {});
+  std::optional<PathValue> GetPath(const std::string& key,
+                                   const ExecContext& ctx = {});
+  void PutPath(const std::string& key, PathValue value,
+               const ExecContext& ctx = {});
 
   const KeyCentricCacheOptions& options() const { return options_; }
   cache::CacheStats ScopeStats() const;
@@ -123,6 +95,15 @@ class KeyCentricCache {
     cache::LfuCache<graph::SymbolId, V> lfu;
     cache::LruCache<graph::SymbolId, V> lru;
   };
+
+  /// Shared Get/Put over one store; `scope_store` selects the hit/miss
+  /// counters.
+  template <typename V>
+  std::optional<V> Get(PolicyPair<V>& store, bool enabled, bool scope_store,
+                       const std::string& key, const ExecContext& ctx);
+  template <typename V>
+  void Put(PolicyPair<V>& store, bool enabled, const std::string& key,
+           V value, const ExecContext& ctx);
 
   const KeyCentricCacheOptions options_;  // immutable after construction
   /// String key -> dense id; internally locked, append-only.

@@ -8,9 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "aggregator/merger.h"
 #include "graph/frozen_graph.h"
-#include "graph/graph.h"
 #include "graph/interning.h"
 #include "nlp/spoc_extractor.h"
 #include "text/embedding.h"
@@ -62,15 +60,13 @@ struct VertexMatcherOptions {
 /// kLevenshtein per vertex), reproducing the paper's pre-index §V-A
 /// cost that the scope cache amortizes.
 ///
-/// Frozen execution: constructed with a FrozenGraph the matcher runs in
-/// id space — edge labels and attribute categories compare as interned
+/// Id-space execution: the matcher reads the compiled FrozenGraph
+/// snapshot — edge labels and attribute categories compare as interned
 /// 32-bit ids, the Levenshtein near-miss scan memoizes per
 /// (query, label-symbol) pair and per canonical key, and the taxonomy
 /// walk uses a byte-mask visited set from the context's arena instead of
-/// a hash set. Candidate sets, iteration orders, and every virtual-clock
-/// charge are byte-identical to the mutable path; only host time and
-/// allocations change. The snapshot must be compiled from exactly the
-/// merged graph passed alongside it.
+/// a hash set. The memos shed host work only; every virtual-clock charge
+/// follows the cost model above.
 ///
 /// Thread-safety: `Match` is safe for concurrent calls; the mutable
 /// state (similarity / Levenshtein / scan memos) is internally locked.
@@ -83,14 +79,11 @@ struct VertexMatcherOptions {
 /// FaultSite::kMatcherScan / kRelationScore before fault-prone work.
 class VertexMatcher {
  public:
-  /// \param frozen optional compiled snapshot of `merged->graph`;
-  /// non-null switches label comparisons, taxonomy walks, and attribute
-  /// filters to id space (see class comment). Not owned; must outlive
-  /// the matcher.
-  VertexMatcher(const aggregator::MergedGraph* merged,
+  /// \param frozen compiled snapshot of the merged graph to match
+  /// against. Not owned; must outlive the matcher.
+  VertexMatcher(const graph::FrozenGraph& frozen,
                 const text::EmbeddingModel* embeddings,
-                VertexMatcherOptions options = {},
-                const graph::FrozenGraph* frozen = nullptr);
+                VertexMatcherOptions options = {});
 
   /// Resolves one element. The result is sorted and deduplicated.
   /// Infallible convenience overload for fault-free, unbounded callers.
@@ -116,25 +109,23 @@ class VertexMatcher {
                         const ExecContext& ctx) const;
   Result<std::vector<graph::VertexId>> MatchPossessive(
       const nlp::SpocElement& element, const ExecContext& ctx) const;
-  /// maxScore of `head` against the merged graph's edge labels, through
-  /// the memo when enabled.
+  /// maxScore of `head` against the snapshot's edge labels, through the
+  /// memo when enabled.
   Result<std::pair<int, double>> BestEdgeLabel(const std::string& head,
                                                const ExecContext& ctx) const;
-  /// Frozen path: is the normalized Levenshtein distance between the
+  /// Is the normalized Levenshtein distance between the
   /// interned symbol's text and `canon` within the match threshold?
   /// Memoized per (canon symbol, other symbol) pair.
   bool LevenshteinWithin(graph::SymbolId sym, graph::SymbolId canon_sym,
                          const std::string& canon) const;
 
-  const aggregator::MergedGraph* merged_;
+  const graph::FrozenGraph& frozen_;
   const text::EmbeddingModel* embeddings_;
   VertexMatcherOptions options_;
-  /// Compiled snapshot of merged_->graph, or nullptr (mutable path).
-  const graph::FrozenGraph* frozen_;
-  /// Frozen path: interned edge-label id of "has-attribute".
+  /// Interned edge-label id of "has-attribute".
   graph::LabelId has_attribute_label_ = graph::kInvalidLabel;
-  /// Frozen path: per-vertex interned canonical-category token (the
-  /// attribute filter compares these against the wanted attribute).
+  /// Per-vertex interned canonical-category token (the attribute filter
+  /// compares these against the wanted attribute).
   std::vector<graph::SymbolId> canon_category_sym_;
   /// Inverted index: canonical category/label token -> vertex bucket.
   std::unordered_map<std::string, std::vector<graph::VertexId>> canon_index_;
@@ -143,10 +134,10 @@ class VertexMatcher {
   std::vector<std::vector<graph::VertexId>> taxonomy_children_;
   /// Possessive head -> (edge label index, cosine) memo; thread-safe.
   mutable MemoCache<std::string, std::pair<int, double>> edge_label_memo_;
-  /// Frozen path: (canon symbol << 32 | label symbol) -> within
+  /// (canon symbol << 32 | label symbol) -> within
   /// threshold. Bounded by vocabulary size squared, in practice tiny.
   mutable MemoCache<uint64_t, bool> lev_pair_memo_;
-  /// Frozen path: canonical key -> shared near-miss scan result. The
+  /// Canonical key -> shared near-miss scan result. The
   /// scan's virtual cost is charged before the memo is consulted, so a
   /// hit skips host work only.
   mutable MemoCache<std::string,

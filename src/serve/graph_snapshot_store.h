@@ -32,7 +32,8 @@ struct SnapshotStoreOptions {
 };
 
 /// \brief One immutable, self-contained version of the serving state: a
-/// merged graph plus the executor and key-centric cache built over it.
+/// merged graph, its compiled FrozenGraph snapshot, and the executor and
+/// key-centric cache built over them.
 ///
 /// The graph and executor wiring never change after construction; the
 /// cache is mutable but internally locked, so any number of workers may
@@ -44,8 +45,7 @@ class GraphSnapshot {
  public:
   /// \param symbols global symbol table shared across snapshots (and
   /// with the query side), so one string pool backs every version of
-  /// the graph; nullptr lets the snapshot own a private table. Ignored
-  /// when `options.executor.use_frozen_graph` is off.
+  /// the graph; nullptr lets the snapshot own a private table.
   GraphSnapshot(uint64_t id, aggregator::MergedGraph merged,
                 const text::EmbeddingModel* embeddings,
                 const SnapshotStoreOptions& options,
@@ -62,15 +62,13 @@ class GraphSnapshot {
   const exec::QueryGraphExecutor& executor() const { return *executor_; }
   /// Snapshot-scoped cache; nullptr when caching is disabled.
   exec::KeyCentricCache* cache() const { return cache_.get(); }
-  /// The compiled CSR snapshot the executor reads (nullptr when frozen
-  /// execution is disabled); pinned for this snapshot's lifetime.
-  const graph::FrozenGraph* frozen() const { return frozen_.get(); }
+  /// The compiled CSR snapshot the executor reads, compiled once per
+  /// publish and pinned for this snapshot's lifetime.
+  const graph::FrozenGraph* frozen() const { return &executor_->frozen(); }
 
  private:
   const uint64_t id_;
   const aggregator::MergedGraph merged_;
-  /// Compiled once per publish, before the executor wires up to it.
-  const std::shared_ptr<const graph::FrozenGraph> frozen_;
   const std::unique_ptr<exec::KeyCentricCache> cache_;
   const std::unique_ptr<exec::QueryGraphExecutor> executor_;
 };
@@ -98,10 +96,10 @@ class GraphSnapshotStore {
   /// pointer for the duration of their read.
   SnapshotPtr Current() const SVQA_EXCLUDES(mu_);
 
-  /// Builds a snapshot around `merged` (executor + fresh cache) and
-  /// atomically makes it current. Returns the new snapshot id. The
-  /// expensive build happens outside the lock; only the swap is
-  /// serialized.
+  /// Builds a snapshot around `merged` (frozen snapshot + executor +
+  /// fresh cache) and atomically makes it current. Returns the new
+  /// snapshot id. The expensive build happens outside the lock; only the
+  /// swap is serialized.
   uint64_t Publish(aggregator::MergedGraph merged) SVQA_EXCLUDES(mu_);
 
   /// Id of the current snapshot (0 before the first publish).

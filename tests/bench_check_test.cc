@@ -100,6 +100,52 @@ TEST(CompareRecords, WallMetricsSkippedByDefault) {
   EXPECT_EQ(CompareRecords(base, fresh, check_wall).size(), 1u);
 }
 
+TEST(CompareRecords, DeclaredHostMetricsSkippedUndeclaredStillFail) {
+  // The workers=2 record declares its makespan and hit rate
+  // host-dependent (thread interleaving); the workers=1 record declares
+  // nothing.
+  const char kDeclared[] =
+      "[\n"
+      "  {\"name\": \"exp/a\", \"workers\": 1, \"total_micros\": 1000.0, "
+      "\"hit_rate\": 0.6},\n"
+      "  {\"name\": \"exp/a\", \"workers\": 2, \"total_micros\": 500.0, "
+      "\"hit_rate\": 0.6, \"host_metrics\": \"total_micros hit_rate\", "
+      "\"ops\": 40.0}\n"
+      "]\n";
+  std::vector<Record> base = Parse(kDeclared);
+  std::vector<Record> fresh = base;
+  fresh[1].metrics["total_micros"] = 700.0;  // +40%: skipped, declared
+  fresh[1].metrics["hit_rate"] = 0.4;        // skipped, declared
+  EXPECT_TRUE(CompareRecords(base, fresh, CheckOptions{}).empty());
+
+  // An undeclared metric of the same record still fails...
+  fresh[1].metrics["ops"] = 80.0;
+  std::vector<std::string> failures =
+      CompareRecords(base, fresh, CheckOptions{});
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].find("ops drifted"), std::string::npos);
+  // ...and so does the same metric on a record that declares nothing.
+  fresh[1].metrics["ops"] = 40.0;
+  fresh[0].metrics["total_micros"] = 1400.0;
+  failures = CompareRecords(base, fresh, CheckOptions{});
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].find("workers=1"), std::string::npos);
+  EXPECT_NE(failures[0].find("total_micros"), std::string::npos);
+}
+
+TEST(CompareRecords, HostMetricDeclarationMustMatchBaseline) {
+  std::vector<Record> base = Parse(kBaseline);
+  std::vector<Record> fresh = base;
+  // A fresh run that newly exempts a metric is not silently accepted.
+  fresh[0].strings["host_metrics"] = "total_micros";
+  fresh[0].metrics["total_micros"] = 2000.0;
+  std::vector<std::string> failures =
+      CompareRecords(base, fresh, CheckOptions{});
+  ASSERT_EQ(failures.size(), 2u);
+  EXPECT_NE(failures[0].find("host_metrics differ"), std::string::npos);
+  EXPECT_NE(failures[1].find("total_micros drifted"), std::string::npos);
+}
+
 TEST(CompareRecords, MissingRecordsFailBothWays) {
   std::vector<Record> base = Parse(kBaseline);
   std::vector<Record> fresh = {base[0]};

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -111,13 +112,14 @@ TEST(CacheStressTest, KeyCentricCacheSharedAcrossPoolWorkers) {
         auto scope = shared.GetScope(key);
         if (scope.has_value()) {
           // Scope values encode their key index; detect cross-key bleed.
-          ASSERT_EQ(scope->size(), 1u);
-          ASSERT_EQ((*scope)[0],
+          ASSERT_EQ((*scope)->size(), 1u);
+          ASSERT_EQ((**scope)[0],
                     static_cast<graph::VertexId>(i % 64));
           scope_hits.fetch_add(1);
         } else {
           shared.PutScope(
-              key, {static_cast<graph::VertexId>(i % 64)});
+              key, std::make_shared<const std::vector<graph::VertexId>>(
+                       1, static_cast<graph::VertexId>(i % 64)));
         }
 
         auto path = shared.GetPath(key);
@@ -127,7 +129,9 @@ TEST(CacheStressTest, KeyCentricCacheSharedAcrossPoolWorkers) {
           exec::RelationPair rp;
           rp.subject = static_cast<graph::VertexId>(i % 64);
           rp.object = static_cast<graph::VertexId>((i + 1) % 64);
-          shared.PutPath(key, {rp});
+          shared.PutPath(
+              key, std::make_shared<const std::vector<exec::RelationPair>>(
+                       1, rp));
         }
       });
   pool.WaitIdle();
@@ -158,7 +162,9 @@ TEST(CacheStressTest, KeyCentricCacheStatsReadersRaceWriters) {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const std::string key = "k" + std::to_string((t * 13 + i) % 128);
         if (!shared.GetScope(key).has_value()) {
-          shared.PutScope(key, {static_cast<graph::VertexId>(i)});
+          shared.PutScope(
+              key, std::make_shared<const std::vector<graph::VertexId>>(
+                       1, static_cast<graph::VertexId>(i)));
         }
       }
     });

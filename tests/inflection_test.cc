@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace svqa::text {
 namespace {
 
@@ -9,6 +11,12 @@ struct LemmaCase {
   const char* input;
   const char* expected;
 };
+
+/// Readable parameter text (`worn_to_wear`); the discovered ctest names
+/// carry it in place of the parameter index.
+void PrintTo(const LemmaCase& c, std::ostream* os) {
+  *os << c.input << "_to_" << c.expected;
+}
 
 class VerbLemmaTest : public ::testing::TestWithParam<LemmaCase> {};
 
@@ -55,6 +63,10 @@ struct NounCase {
   const char* input;
   const char* expected;
 };
+
+void PrintTo(const NounCase& c, std::ostream* os) {
+  *os << c.input << "_to_" << c.expected;
+}
 
 class SingularNounTest : public ::testing::TestWithParam<NounCase> {};
 

@@ -99,6 +99,17 @@ std::string RecordKey(const Record& r) {
   return key.str();
 }
 
+/// The record's declared host-dependent metrics (its space-separated
+/// `host_metrics` string field).
+std::set<std::string> HostMetrics(const Record& r) {
+  std::set<std::string> out;
+  auto it = r.strings.find("host_metrics");
+  if (it == r.strings.end()) return out;
+  std::istringstream in(it->second);
+  for (std::string metric; in >> metric;) out.insert(metric);
+  return out;
+}
+
 double ToleranceFor(const std::string& metric, const CheckOptions& options) {
   auto it = options.metric_tolerance.find(metric);
   return it == options.metric_tolerance.end() ? options.tolerance
@@ -247,8 +258,20 @@ std::vector<std::string> CompareRecords(const std::vector<Record>& baseline,
       continue;
     }
     for (std::size_t i = 0; i < base_recs.size(); ++i) {
+      // A record's own host_metrics declaration exempts those metrics;
+      // the declaration itself must match the baseline's, so moving a
+      // metric out of the deterministic class takes a regenerated,
+      // reviewed baseline.
+      const std::set<std::string> host = HostMetrics(*base_recs[i]);
+      if (host != HostMetrics(*fresh_recs[i])) {
+        failures.push_back("record '" + key +
+                           "': declared host_metrics differ from the "
+                           "baseline (regenerate and commit the BENCH "
+                           "file)");
+      }
       for (const auto& [metric, base_value] : base_recs[i]->metrics) {
         if (options.skip_metrics.count(metric) != 0) continue;
+        if (host.count(metric) != 0) continue;
         auto mit = fresh_recs[i]->metrics.find(metric);
         if (mit == fresh_recs[i]->metrics.end()) {
           failures.push_back("record '" + key + "': metric '" + metric +

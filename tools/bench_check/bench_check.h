@@ -19,12 +19,17 @@
 ///     as relative deviation; metrics measured in host wall time
 ///     (wall_micros, throughput_qps, bytes_allocated) are skipped by
 ///     default because the committed baseline and the CI runner are
-///     different machines. Records missing from either side fail.
+///     different machines (`--check-metric` re-enables one where it is
+///     deterministic). A record may also declare its own host-dependent
+///     metrics in a space-separated `host_metrics` string field (e.g. a
+///     threaded virtual makespan that depends on thread interleaving);
+///     those are skipped for that record only, and the declaration must
+///     match the baseline's. Records missing from either side fail.
 ///
 ///   Require assertions — `--require "A:metric / B:metric >= 1.5"`
 ///     evaluates a ratio between two records of the *fresh* file. Both
 ///     sides run on the same machine in the same process, so this is
-///     where wall-time and allocation claims (frozen-vs-mutable
+///     where wall-time claims and host-dependent metrics (threaded
 ///     speedups) are enforced. Operators: >=, <=, == (relative 1e-9).
 ///     Selectors are `name[@workers]:metric`; `@workers` disambiguates
 ///     sweeps that emit one record per worker count.
